@@ -2,33 +2,34 @@
 //!
 //! The array is split into cache-aligned blocks.  During **phase 1** every
 //! team member repeatedly takes one block from the left end and one from the
-//! right end of the not-yet-claimed range and *neutralizes* them: elements
-//! greater than the pivot in the left block are swapped with elements less
-//! than or equal to the pivot in the right block until one of the blocks is
-//! fully scanned, at which point a fresh block is claimed from that side.
-//! When no blocks remain, each member parks its at most one unfinished block
-//! per side.
+//! right end of the not-yet-claimed range and *neutralizes* them with the
+//! branchless kernel `seq::neutralize`: elements greater than the pivot in
+//! the left block are swapped with elements less than or equal to the pivot
+//! in the right block until one of the blocks is fully scanned, at which
+//! point a fresh block is claimed from that side.  When no blocks remain,
+//! each member parks its at most one unfinished block per side.
 //!
 //! **Phase 2/3** (performed by the member with local id 0 after a team
 //! barrier) moves the unfinished blocks to the inner boundary of their
 //! region, so everything that is not yet classified forms one contiguous
 //! range (unfinished blocks + never-claimed middle + the sub-block tail), and
-//! finishes it with a sequential two-pointer pass.  The paper replaces the
-//! original "thread 0 collects everything" second phase with a
-//! producer/consumer exchanger; we keep the sequential cleanup (its work is
-//! bounded by `O(team_size · block_size + block_size)` elements) and note the
-//! substitution in DESIGN.md.
+//! finishes it with the sequential [`partition_by`], which runs the same
+//! kernel.  The paper replaces the original "thread 0 collects everything"
+//! second phase with a producer/consumer exchanger; we keep the sequential
+//! cleanup (its work is bounded by `O(team_size · block_size + block_size)`
+//! elements) and note the substitution in DESIGN.md.
 //!
 //! The result is the usual partition contract: a split point `s` such that
 //! `data[..s] <= pivot < data[s..]` (with the all-`<= pivot` corner case
 //! reported as `s == n` and resolved by the caller).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use teamsteal_core::TaskContext;
 use teamsteal_util::SendMutPtr;
 
-use crate::seq::partition_by;
+use crate::seq::{neutralize, partition_by};
 
 /// Which side of the array a block is claimed from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +62,12 @@ impl ParallelPartitioner {
     pub fn new(n: usize, block_size: usize, max_team: usize) -> Self {
         let block_size = block_size.max(1);
         let nblocks = n / block_size;
+        // `taken` packs both claim counts into 32-bit halves; a larger count
+        // would carry from one half into the other and hand a block out twice.
+        assert!(
+            nblocks <= u32::MAX as usize,
+            "{nblocks} blocks exceed the 32-bit claim counters"
+        );
         ParallelPartitioner {
             n,
             block_size,
@@ -138,7 +145,9 @@ impl ParallelPartitioner {
 
     fn neutralize_blocks(&self, me: usize, ptr: SendMutPtr<u32>, pivot: u32) {
         let bs = self.block_size;
-        let mut left: Option<(usize, usize)> = None; // (block, scan position)
+        // (block, elements classified): from the start of a left block, from
+        // the end of a right block.
+        let mut left: Option<(usize, usize)> = None;
         let mut right: Option<(usize, usize)> = None;
         loop {
             if left.is_none() {
@@ -157,20 +166,9 @@ impl ParallelPartitioner {
             let (rb, mut j) = right.take().expect("right block present");
             let lslice = self.block_slice(ptr, lb);
             let rslice = self.block_slice(ptr, rb);
-            loop {
-                while i < bs && lslice[i] <= pivot {
-                    i += 1;
-                }
-                while j < bs && rslice[j] > pivot {
-                    j += 1;
-                }
-                if i == bs || j == bs {
-                    break;
-                }
-                std::mem::swap(&mut lslice[i], &mut rslice[j]);
-                i += 1;
-                j += 1;
-            }
+            let (l, r) = neutralize(&mut lslice[i..], &mut rslice[..bs - j], |x| x <= pivot);
+            i += l;
+            j += r;
             if i < bs {
                 left = Some((lb, i));
             }
@@ -196,46 +194,36 @@ impl ParallelPartitioner {
         sa.swap_with_slice(sb);
     }
 
-    /// Moves the unfinished blocks of one side into that side's innermost
-    /// block slots so the unclassified data becomes contiguous.  Returns the
-    /// number of unfinished blocks on that side.
+    /// Moves the unfinished blocks of one side (`leftovers`, one slot per
+    /// member) into `targets`, that side's innermost block slots, so the
+    /// unclassified data becomes contiguous.  `targets` holds exactly as
+    /// many slots as there are unfinished blocks.
     fn compact_leftovers(
         &self,
         ptr: SendMutPtr<u32>,
-        leftovers: &[usize],
-        region_start: usize,
-        region_len: usize,
-        innermost_last: bool,
-    ) -> usize {
-        let count = leftovers.len();
-        if count == 0 {
-            return 0;
-        }
-        debug_assert!(count <= region_len);
-        // Target slots: the `count` innermost block indices of the region.
-        let targets: Vec<usize> = if innermost_last {
-            // Left region: innermost = highest indices.
-            (region_start + region_len - count..region_start + region_len).collect()
-        } else {
-            // Right region: innermost = lowest indices.
-            (region_start..region_start + count).collect()
+        leftovers: &[AtomicUsize],
+        targets: Range<usize>,
+    ) {
+        let blocks = || {
+            leftovers
+                .iter()
+                .filter_map(|a| a.load(Ordering::Acquire).checked_sub(1))
         };
-        let in_target = |b: usize| targets.contains(&b);
-        // Leftover blocks already inside the target zone stay; the others are
-        // swapped with target slots currently holding finished blocks.
-        let mut free_targets: Vec<usize> = targets
-            .iter()
-            .copied()
-            .filter(|t| !leftovers.contains(t))
-            .collect();
-        for &block in leftovers.iter() {
-            if in_target(block) {
-                continue;
+        // Unfinished blocks already in a target slot stay; the others are
+        // swapped into the target slots holding finished blocks.
+        let mut outside = blocks().filter(|b| !targets.contains(b));
+        for chunk in targets.clone().step_by(64) {
+            let chunk = chunk..targets.end.min(chunk + 64);
+            let held = blocks()
+                .filter(|b| chunk.contains(b))
+                .fold(0u64, |mask, b| mask | 1 << (b - chunk.start));
+            for target in chunk.clone().filter(|t| held >> (t - chunk.start) & 1 == 0) {
+                let block = outside
+                    .next()
+                    .expect("one unfinished block per free target slot");
+                self.swap_blocks(ptr, block, target);
             }
-            let target = free_targets.pop().expect("enough free target slots");
-            self.swap_blocks(ptr, block, target);
         }
-        count
     }
 
     /// Phase 2 + 3: make the unclassified range contiguous and finish it with
@@ -247,31 +235,17 @@ impl ParallelPartitioner {
         let taken_right = (cur & 0xFFFF_FFFF) as usize;
         debug_assert!(taken_left + taken_right <= self.nblocks);
 
-        let lo_left: Vec<usize> = self
-            .leftover_left
-            .iter()
-            .filter_map(|a| {
-                let v = a.load(Ordering::Acquire);
-                (v > 0).then(|| v - 1)
-            })
-            .collect();
-        let lo_right: Vec<usize> = self
-            .leftover_right
-            .iter()
-            .filter_map(|a| {
-                let v = a.load(Ordering::Acquire);
-                (v > 0).then(|| v - 1)
-            })
-            .collect();
-
-        let ll = self.compact_leftovers(ptr, &lo_left, 0, taken_left, true);
-        let rl = self.compact_leftovers(
-            ptr,
-            &lo_right,
-            self.nblocks - taken_right,
-            taken_right,
-            false,
-        );
+        let unfinished = |side: &[AtomicUsize]| {
+            side.iter()
+                .filter(|a| a.load(Ordering::Acquire) > 0)
+                .count()
+        };
+        let ll = unfinished(&self.leftover_left);
+        let rl = unfinished(&self.leftover_right);
+        // Left region: innermost = highest indices; right region: lowest.
+        self.compact_leftovers(ptr, &self.leftover_left, taken_left - ll..taken_left);
+        let right_start = self.nblocks - taken_right;
+        self.compact_leftovers(ptr, &self.leftover_right, right_start..right_start + rl);
 
         // The contiguous unclassified range: unfinished left blocks, the
         // never-claimed middle, and the unfinished right blocks.
@@ -303,6 +277,8 @@ mod tests {
     use std::sync::Arc;
     use teamsteal_core::Scheduler;
     use teamsteal_data::{is_permutation_of, Distribution};
+
+    use crate::seq::OFFSETS;
 
     /// Runs the partitioner inside a real team task and checks the partition
     /// contract.
@@ -377,6 +353,67 @@ mod tests {
     fn handles_tiny_blocks_and_many_claims() {
         let s = Scheduler::with_threads(4);
         check_partition(&s, 4, 30_000, 64, 7);
+    }
+
+    #[test]
+    fn partitions_at_kernel_and_paper_block_sizes() {
+        let s = Scheduler::with_threads(4);
+        for (seed, bs) in [1, 3, OFFSETS - 1, OFFSETS + 1, 1000, 5000]
+            .into_iter()
+            .enumerate()
+        {
+            for team in [1, 2, 4] {
+                // Enough blocks for every member to claim several from each
+                // side, plus a sub-block tail.
+                let n = bs * 6 * team + bs / 2 + 1;
+                check_partition(&s, team, n, bs, seed as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn compaction_moves_every_unfinished_block_into_the_target_slots() {
+        // More unfinished blocks than one 64-slot mask, on both sides.
+        let (bs, team, nblocks) = (2, 150, 600);
+        let p = ParallelPartitioner::new(nblocks * bs, bs, team);
+        let mut data: Vec<u32> = (0..nblocks * bs).map(|i| (i / bs) as u32).collect();
+        let ptr = SendMutPtr::from_slice(&mut data);
+        let mut rng = teamsteal_util::rng::Xoshiro256::new(9);
+        // Left region: blocks 0..300, 130 of them unfinished, some already
+        // inside the target slots 170..300.
+        let mut left: Vec<usize> = (0..300).collect();
+        rng.shuffle(&mut left);
+        left.truncate(130);
+        for (slot, &b) in left.iter().enumerate() {
+            p.leftover_left[slot].store(b + 1, Ordering::Relaxed);
+        }
+        p.compact_leftovers(ptr, &p.leftover_left, 170..300);
+        let mut moved: Vec<usize> = (170..300).map(|b| data[b * bs] as usize).collect();
+        moved.sort_unstable();
+        left.sort_unstable();
+        assert_eq!(
+            moved, left,
+            "target slots must hold exactly the unfinished blocks"
+        );
+        let mut all: Vec<u32> = data.chunks(bs).map(|c| c[0]).collect();
+        assert!(data.chunks(bs).all(|c| c[0] == c[1]), "blocks move whole");
+        all.sort_unstable();
+        assert_eq!(all, (0..nblocks as u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn claim_counters_accept_u32_max_blocks() {
+        let p = ParallelPartitioner::new(u32::MAX as usize, 1, 1);
+        assert_eq!(p.num_blocks(), u32::MAX as usize);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "32-bit claim counters")]
+    fn claim_counters_reject_more_than_u32_max_blocks() {
+        // One block more than the 32-bit halves of `taken` can count.
+        let _ = ParallelPartitioner::new((u32::MAX as usize + 1) * 4, 4, 1);
     }
 
     #[test]
