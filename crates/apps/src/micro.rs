@@ -328,9 +328,29 @@ pub fn soak(scheduler: &Scheduler, scopes: usize, per_scope: usize) -> SoakOutco
     outcome
 }
 
-/// Pause between [`wakeup_latency`] submissions, long enough for every
-/// worker to exhaust its spin/yield prefix and commit an eventcount park.
+/// Minimum pause between [`wakeup_latency`] submissions, long enough for
+/// every worker of an unloaded host to exhaust its spin/yield prefix and
+/// commit an eventcount park.
 pub const WAKEUP_SETTLE: Duration = Duration::from_millis(2);
+
+/// Waits [`WAKEUP_SETTLE`], then until every worker is blocked in a park
+/// (for at most one second).  On a contended host the spin/yield prefix can
+/// outlast the fixed pause, and a submission that finds a worker still
+/// spinning measures no wake at all.  A worker is parked while its
+/// committed parks outnumber its recorded wakes: every park ends in exactly
+/// one `wakeups` or `spurious_wakes` increment.
+fn settle_until_parked(scheduler: &Scheduler) {
+    std::thread::sleep(WAKEUP_SETTLE);
+    let give_up = Instant::now() + Duration::from_secs(1);
+    while Instant::now() < give_up
+        && !scheduler
+            .worker_metrics()
+            .iter()
+            .all(|m| m.parks > m.wakeups + m.spurious_wakes)
+    {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+}
 
 /// Measures external-submission wake latency: `submissions` times, let the
 /// (empty) scheduler settle so its workers park, then submit one root task
@@ -347,7 +367,7 @@ pub const WAKEUP_SETTLE: Duration = Duration::from_millis(2);
 pub fn wakeup_latency(scheduler: &Scheduler, submissions: usize) -> Vec<Duration> {
     let mut samples = Vec::with_capacity(submissions);
     for _ in 0..submissions {
-        std::thread::sleep(WAKEUP_SETTLE);
+        settle_until_parked(scheduler);
         let started_ns = Arc::new(AtomicU64::new(u64::MAX));
         let cell = Arc::clone(&started_ns);
         let submit = Instant::now();

@@ -21,12 +21,11 @@
 //!
 //! The JSON schema and the regeneration workflow are documented in
 //! `EXPERIMENTS.md`; the measurement methodology (warmups, why the median is
-//! the headline aggregate) in `DESIGN.md` §7.  Unlike the `tables` /
-//! `scaling` bins this harness needs no optional features: it only measures
-//! scenarios that run on the `teamsteal` scheduler itself, so its numbers
-//! are meaningful even in the offline stub build.
+//! the headline aggregate) in `DESIGN.md` §7.  It only measures scenarios
+//! that run on the `teamsteal` scheduler itself (plus the sequential
+//! references), so every number it records is this repository's own.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
@@ -42,80 +41,35 @@ use teamsteal_sort::SortConfig;
 use teamsteal_util::timing::RunStats;
 
 /// The sort variants the trajectory tracks.  `SeqStd` is the speedup
-/// denominator; the rayon baselines are excluded because in the offline stub
-/// build their numbers are not comparable (see EXPERIMENTS.md).
+/// denominator.
 const SORT_SEQUENTIAL: [Variant; 2] = [Variant::SeqStd, Variant::SeqQs];
 const SORT_PARALLEL: [Variant; 3] = [Variant::Fork, Variant::RandFork, Variant::MmPar];
 
-/// Which sweep families a run executes (`--only`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Sweeps {
-    sort: bool,
-    kernel: bool,
-    micro: bool,
-    injection: bool,
-    soak: bool,
-    wakeup_latency: bool,
-    idle_burn: bool,
-    team_build: bool,
-    service: bool,
+/// A sweep family writing into `BENCH_kernels.json`.
+type Sweep = fn(&Options) -> Vec<RunRecord>;
+
+/// The sweep family writing `BENCH_sort.json`; when selected it runs first.
+const SORT_FAMILY: &str = "sort";
+
+/// Every `BENCH_kernels.json` sweep family (`--only` names them), in run
+/// and record order.
+const KERNEL_FAMILIES: [(&str, Sweep); 8] = [
+    ("kernel", sweep_kernels),
+    ("micro", sweep_micro),
+    ("injection_throughput", sweep_injection),
+    ("soak", sweep_soak),
+    ("wakeup_latency", sweep_wakeup_latency),
+    ("idle_burn", sweep_idle_burn),
+    ("team_build", sweep_team_build),
+    ("service_latency", sweep_service),
+];
+
+/// Every family name `--only` accepts, in run order.
+fn family_names() -> impl Iterator<Item = &'static str> {
+    std::iter::once(SORT_FAMILY).chain(KERNEL_FAMILIES.iter().map(|&(name, _)| name))
 }
 
-impl Default for Sweeps {
-    fn default() -> Self {
-        Sweeps {
-            sort: true,
-            kernel: true,
-            micro: true,
-            injection: true,
-            soak: true,
-            wakeup_latency: true,
-            idle_burn: true,
-            team_build: true,
-            service: true,
-        }
-    }
-}
-
-impl Sweeps {
-    const NONE: Sweeps = Sweeps {
-        sort: false,
-        kernel: false,
-        micro: false,
-        injection: false,
-        soak: false,
-        wakeup_latency: false,
-        idle_burn: false,
-        team_build: false,
-        service: false,
-    };
-
-    /// `true` when any family writing into `BENCH_kernels.json` runs.
-    fn any_kernel_report_family(&self) -> bool {
-        self.kernel
-            || self.micro
-            || self.injection
-            || self.soak
-            || self.wakeup_latency
-            || self.idle_burn
-            || self.team_build
-            || self.service
-    }
-
-    /// `true` when every `BENCH_kernels.json` family runs (no carryover
-    /// needed).
-    fn all_kernel_report_families(&self) -> bool {
-        self.kernel
-            && self.micro
-            && self.injection
-            && self.soak
-            && self.wakeup_latency
-            && self.idle_burn
-            && self.team_build
-            && self.service
-    }
-}
-
+#[derive(Clone)]
 struct Options {
     smoke: bool,
     size: usize,
@@ -126,7 +80,14 @@ struct Options {
     out_dir: PathBuf,
     check: Option<PathBuf>,
     tolerance_pct: f64,
-    sweeps: Sweeps,
+    /// The sweep families this run executes (`--only`; default: all).
+    families: HashSet<&'static str>,
+}
+
+impl Options {
+    fn runs(&self, family: &str) -> bool {
+        self.families.contains(family)
+    }
 }
 
 impl Default for Options {
@@ -141,12 +102,15 @@ impl Default for Options {
             out_dir: PathBuf::from("."),
             check: None,
             tolerance_pct: 25.0,
-            sweeps: Sweeps::default(),
+            families: family_names().collect(),
         }
     }
 }
 
-const HELP: &str = "Perf-trajectory harness (writes BENCH_sort.json / BENCH_kernels.json).
+fn help() -> String {
+    let families: Vec<&str> = family_names().collect();
+    format!(
+        "Perf-trajectory harness (writes BENCH_sort.json / BENCH_kernels.json).
   --smoke            tiny sizes and minimal repetitions (CI guard)
   --size N           sort / kernel work budget in elements (default 524288)
   --threads LIST     comma-separated thread counts (default 1,2,4)
@@ -154,13 +118,15 @@ const HELP: &str = "Perf-trajectory harness (writes BENCH_sort.json / BENCH_kern
   --warmups N        untimed warmup runs per scenario (default 1)
   --seed N           input seed (default 42)
   --out-dir PATH     output directory (default .)
-  --only LIST        comma-separated sweep families to run: sort,kernel,
-                     micro,injection_throughput,soak,wakeup_latency,idle_burn,
-                     team_build,service_latency (default: all nine)
+  --only LIST        comma-separated sweep families to run (default: all):
+                     {}
   --check FILE       fail (exit 1) on MMPar median regression vs baseline FILE;
                      with --smoke the comparison runs a dedicated MMPar pass at
                      the baseline's recorded size/threads so medians compare
-  --tolerance PCT    regression tolerance in percent (default 25)";
+  --tolerance PCT    regression tolerance in percent (default 25)",
+        families.join(",")
+    )
+}
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options::default();
@@ -212,28 +178,19 @@ fn parse_args() -> Result<Options, String> {
             "--out-dir" => opts.out_dir = PathBuf::from(value("a path")?),
             "--only" => {
                 let list = value("a list")?;
-                let mut sweeps = Sweeps::NONE;
+                opts.families.clear();
                 for family in list.split(',') {
-                    match family.trim() {
-                        "sort" => sweeps.sort = true,
-                        "kernel" => sweeps.kernel = true,
-                        "micro" => sweeps.micro = true,
-                        "injection_throughput" => sweeps.injection = true,
-                        "soak" => sweeps.soak = true,
-                        "wakeup_latency" => sweeps.wakeup_latency = true,
-                        "idle_burn" => sweeps.idle_burn = true,
-                        "team_build" => sweeps.team_build = true,
-                        "service_latency" => sweeps.service = true,
-                        other => {
-                            return Err(format!(
-                                "unknown sweep family '{other}' (expected sort, kernel, \
-                                 micro, injection_throughput, soak, wakeup_latency, \
-                                 idle_burn, team_build or service_latency)"
-                            ))
-                        }
-                    }
+                    let family = family.trim();
+                    let Some(known) = family_names().find(|&f| f == family) else {
+                        let names: Vec<&str> = family_names().collect();
+                        let (last, rest) = names.split_last().expect("families exist");
+                        return Err(format!(
+                            "unknown sweep family '{family}' (expected {} or {last})",
+                            rest.join(", ")
+                        ));
+                    };
+                    opts.families.insert(known);
                 }
-                opts.sweeps = sweeps;
             }
             "--check" => opts.check = Some(PathBuf::from(value("a path")?)),
             "--tolerance" => {
@@ -245,7 +202,7 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--help" | "-h" => {
-                println!("{HELP}");
+                println!("{}", help());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument '{other}' (try --help)")),
@@ -409,7 +366,7 @@ fn sweep_sorts(opts: &Options) -> Report {
 
 /// Sweeps every application kernel over the thread counts, with a sequential
 /// reference per kernel.
-fn sweep_kernels(opts: &Options) -> Report {
+fn sweep_kernels(opts: &Options) -> Vec<RunRecord> {
     let mut records = Vec::new();
     let workloads: Vec<Workload> = Kernel::ALL
         .iter()
@@ -475,7 +432,7 @@ fn sweep_kernels(opts: &Options) -> Report {
             });
         }
     }
-    new_report(opts, "kernel", records)
+    records
 }
 
 /// Runs `reps` timed repetitions of one micro scenario (after `warmups`
@@ -1294,16 +1251,10 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
             .entry(threads)
             .or_insert_with(|| VariantRunner::new(threads, config.clone()));
         let sized_opts = Options {
-            smoke: opts.smoke,
             size,
-            threads: opts.threads.clone(),
-            reps: opts.reps,
-            warmups: opts.warmups,
             seed,
-            out_dir: opts.out_dir.clone(),
             check: None,
-            tolerance_pct: opts.tolerance_pct,
-            sweeps: opts.sweeps,
+            ..opts.clone()
         };
         let (stats, metrics) =
             sort_cell(runner, Variant::MmPar, distribution, input, &sized_opts, threads);
@@ -1333,7 +1284,7 @@ fn write_report(path: &Path, report: &Report) -> Result<(), String> {
 
 fn run() -> Result<i32, String> {
     let opts = parse_args()?;
-    if opts.check.is_some() && !opts.sweeps.sort && !opts.smoke {
+    if opts.check.is_some() && !opts.runs(SORT_FAMILY) && !opts.smoke {
         return Err("--check needs the sort sweep; drop `--only` families excluding it".into());
     }
     std::fs::create_dir_all(&opts.out_dir)
@@ -1379,7 +1330,7 @@ fn run() -> Result<i32, String> {
     );
 
     let sort_path = opts.out_dir.join("BENCH_sort.json");
-    let sort_report = if opts.sweeps.sort {
+    let sort_report = if opts.runs(SORT_FAMILY) {
         let report = sweep_sorts(&opts);
         write_report(&sort_path, &report)?;
         Some(report)
@@ -1387,82 +1338,29 @@ fn run() -> Result<i32, String> {
         None
     };
 
-    if opts.sweeps.any_kernel_report_family() {
+    if KERNEL_FAMILIES.iter().any(|&(family, _)| opts.runs(family)) {
         let kernels_path = opts.out_dir.join("BENCH_kernels.json");
         // A partial run (`--only kernel`, `--only soak`, …) must not clobber
         // the skipped families' records in an existing report at the
         // destination: carry them over instead.
-        let preserved: Vec<RunRecord> = if opts.sweeps.all_kernel_report_families() {
+        let preserved: Vec<RunRecord> = if KERNEL_FAMILIES.iter().all(|&(f, _)| opts.runs(f)) {
             Vec::new()
         } else {
             std::fs::read_to_string(&kernels_path)
                 .ok()
                 .and_then(|text| Report::from_json_str(&text).ok())
-                .map(|existing| {
-                    existing
-                        .records
-                        .into_iter()
-                        .filter(|r| {
-                            (r.group == "kernel" && !opts.sweeps.kernel)
-                                || (r.group == "micro" && !opts.sweeps.micro)
-                                || (r.group == "injection_throughput"
-                                    && !opts.sweeps.injection)
-                                || (r.group == "soak" && !opts.sweeps.soak)
-                                || (r.group == "wakeup_latency" && !opts.sweeps.wakeup_latency)
-                                || (r.group == "idle_burn" && !opts.sweeps.idle_burn)
-                                || (r.group == "team_build" && !opts.sweeps.team_build)
-                                || (r.group == "service_latency" && !opts.sweeps.service)
-                        })
-                        .collect()
-                })
+                .map(|existing| existing.records)
                 .unwrap_or_default()
         };
-        // Stable record order: kernel, micro, injection_throughput, soak,
-        // wakeup_latency, idle_burn, team_build, service_latency.
+        // Stable record order: the order of `KERNEL_FAMILIES`.
         let mut records: Vec<RunRecord> = Vec::new();
-        let family = |enabled: bool,
-                          group: &str,
-                          records: &mut Vec<RunRecord>,
-                          sweep: &mut dyn FnMut() -> Vec<RunRecord>| {
-            if enabled {
-                records.extend(sweep());
+        for (family, sweep) in KERNEL_FAMILIES {
+            if opts.runs(family) {
+                records.extend(sweep(&opts));
             } else {
-                records.extend(preserved.iter().filter(|r| r.group == group).cloned());
+                records.extend(preserved.iter().filter(|r| r.group == family).cloned());
             }
-        };
-        family(opts.sweeps.kernel, "kernel", &mut records, &mut || {
-            sweep_kernels(&opts).records
-        });
-        family(opts.sweeps.micro, "micro", &mut records, &mut || {
-            sweep_micro(&opts)
-        });
-        family(
-            opts.sweeps.injection,
-            "injection_throughput",
-            &mut records,
-            &mut || sweep_injection(&opts),
-        );
-        family(opts.sweeps.soak, "soak", &mut records, &mut || {
-            sweep_soak(&opts)
-        });
-        family(
-            opts.sweeps.wakeup_latency,
-            "wakeup_latency",
-            &mut records,
-            &mut || sweep_wakeup_latency(&opts),
-        );
-        family(opts.sweeps.idle_burn, "idle_burn", &mut records, &mut || {
-            sweep_idle_burn(&opts)
-        });
-        family(opts.sweeps.team_build, "team_build", &mut records, &mut || {
-            sweep_team_build(&opts)
-        });
-        family(
-            opts.sweeps.service,
-            "service_latency",
-            &mut records,
-            &mut || sweep_service(&opts),
-        );
+        }
         let kernel_report = new_report(&opts, "kernel", records);
         write_report(&kernels_path, &kernel_report)?;
     }

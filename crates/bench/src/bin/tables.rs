@@ -21,7 +21,7 @@
 
 use std::time::Duration;
 
-use teamsteal_bench::{render_table, run_table, TableSpec, Variant, VariantRunner};
+use teamsteal_bench::{render_table, run_table, TableSpec};
 use teamsteal_data::{Distribution, Scale};
 use teamsteal_sort::SortConfig;
 use teamsteal_util::timing::{speedup, RunStats};
@@ -241,7 +241,4 @@ fn run_steal_policy_ablation(opts: &Options, config: &SortConfig) {
         }
         println!();
     }
-    // Touch the library types so the harness and the ablation stay in sync.
-    let _ = VariantRunner::new(1, config.clone());
-    let _ = Variant::MmPar;
 }

@@ -16,7 +16,7 @@
 //!    round-trip (tested), and so `--check` can read a recorded baseline.
 //! 2. **Explainable numbers.**  Every [`RunRecord`] carries a
 //!    [`MetricsSnapshot`] delta next to its timing aggregates: a slowdown
-//!    with a spike in `failed_steal_rounds` reads very differently from one
+//!    with a spike in failed steal rounds reads very differently from one
 //!    with constant metrics.
 //! 3. **Regression gating.**  [`check_regressions`] compares two reports
 //!    record-by-record and reports the scenarios whose median regressed
@@ -28,7 +28,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use teamsteal_core::{MetricsSnapshot, WakeLatencyHistogram};
+use teamsteal_core::MetricsSnapshot;
 use teamsteal_util::timing::RunStats;
 
 /// Current value of the `schema_version` field written into every report.
@@ -501,97 +501,16 @@ impl TimingSummary {
     }
 }
 
-/// The scalar scheduler-counter fields serialized into every record, in
-/// schema order.  Shared by the writer, the parser and the schema
-/// documentation.
-///
-/// `nodes_recycled`, `tasks_injected` and `liveness_resyncs` were added with
-/// the arena/injector runtime (PR 3); `segments_reclaimed`,
-/// `buffers_reclaimed` and `epoch_advances` with the epoch-reclamation
-/// subsystem (PR 4); `parks`, `wakeups` and `spurious_wakes` (plus the
-/// non-scalar `wake_latency_us` bucket array) with the event-driven parking
-/// subsystem (PR 5); `injector_local_pops`, `injector_remote_pops` and
-/// `external_pin_waits` with the sharded injector (PR 6); `teams_built`,
-/// `team_reuses`, `team_shrinks`, `steals_local` and `steals_remote` with
-/// moldable teams and the topology-biased fallback scan (PR 8);
-/// `tasks_expired`, `tasks_cancelled` and `retry_attempts` with the
-/// deadline/cancellation/retry layer (PR 10).  The parser defaults absent
-/// counters to zero so reports written by earlier harnesses stay readable.
-const METRIC_FIELDS: [&str; 30] = [
-    "tasks_executed",
-    "team_tasks_executed",
-    "teams_formed",
-    "registrations",
-    "steals",
-    "tasks_stolen",
-    "failed_steal_rounds",
-    "help_steals",
-    "tasks_spawned",
-    "cas_failures",
-    "nodes_recycled",
-    "tasks_injected",
-    "injector_local_pops",
-    "injector_remote_pops",
-    "external_pin_waits",
-    "liveness_resyncs",
-    "segments_reclaimed",
-    "buffers_reclaimed",
-    "epoch_advances",
-    "parks",
-    "wakeups",
-    "spurious_wakes",
-    "teams_built",
-    "team_reuses",
-    "team_shrinks",
-    "steals_local",
-    "steals_remote",
-    "tasks_expired",
-    "tasks_cancelled",
-    "retry_attempts",
-];
-
 /// Key of the wake-latency histogram inside the metrics object: one count
 /// per bucket, bounds `teamsteal_core::metrics::WAKE_LATENCY_BOUNDS_US`
-/// (last bucket unbounded).
+/// (last bucket unbounded).  The one non-scalar entry; every other key is a
+/// scalar counter named by [`MetricsSnapshot::counters`], in its order.
 const WAKE_LATENCY_FIELD: &str = "wake_latency_us";
 
 fn metrics_to_json(m: &MetricsSnapshot) -> JsonValue {
-    let values = [
-        m.tasks_executed,
-        m.team_tasks_executed,
-        m.teams_formed,
-        m.registrations,
-        m.steals,
-        m.tasks_stolen,
-        m.failed_steal_rounds,
-        m.help_steals,
-        m.tasks_spawned,
-        m.cas_failures,
-        m.nodes_recycled,
-        m.tasks_injected,
-        m.injector_local_pops,
-        m.injector_remote_pops,
-        m.external_pin_waits,
-        m.liveness_resyncs,
-        m.segments_reclaimed,
-        m.buffers_reclaimed,
-        m.epoch_advances,
-        m.parks,
-        m.wakeups,
-        m.spurious_wakes,
-        m.teams_built,
-        m.team_reuses,
-        m.team_shrinks,
-        m.steals_local,
-        m.steals_remote,
-        m.tasks_expired,
-        m.tasks_cancelled,
-        m.retry_attempts,
-    ];
-    let mut pairs: Vec<(String, JsonValue)> = METRIC_FIELDS
-        .iter()
-        .zip(values)
-        .map(|(&k, v)| (k.to_string(), JsonValue::Number(v as f64)))
+    let mut pairs: Vec<(String, JsonValue)> = m
+        .counters()
+        .map(|(name, v)| (name.to_string(), JsonValue::Number(v as f64)))
         .collect();
     pairs.push((
         WAKE_LATENCY_FIELD.to_string(),
@@ -606,64 +525,30 @@ fn metrics_to_json(m: &MetricsSnapshot) -> JsonValue {
     JsonValue::Object(pairs)
 }
 
+/// Parses a `metrics` object.  A counter missing from it reads as 0 (reports
+/// written before the counter existed stay readable); a counter that is
+/// present but not a number is an error.
 fn metrics_from_json(value: &JsonValue) -> Result<MetricsSnapshot, String> {
-    let field = |key: &str| -> Result<u64, String> {
-        value
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("metrics missing `{key}`"))
-    };
-    // Counters added after schema introduction default to zero, so older
-    // committed baselines keep parsing.
-    let optional_field = |key: &str| -> u64 {
-        value
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .map(|n| n as u64)
-            .unwrap_or(0)
-    };
-    // The wake-latency histogram is a bucket array; absent (pre-PR 5
+    if !matches!(value, JsonValue::Object(_)) {
+        return Err("record `metrics` is not an object".into());
+    }
+    let mut m = MetricsSnapshot::default();
+    for (name, slot) in m.counters_mut() {
+        if let Some(v) = value.get(name) {
+            *slot = v
+                .as_f64()
+                .ok_or_else(|| format!("metrics counter `{name}` is not a number"))?
+                as u64;
+        }
+    }
+    // The wake-latency histogram is a bucket array; absent (older
     // baselines) or malformed entries default to all-zero.
-    let mut wake_latency = WakeLatencyHistogram::default();
     if let Some(buckets) = value.get(WAKE_LATENCY_FIELD).and_then(JsonValue::as_array) {
-        for (slot, bucket) in wake_latency.buckets.iter_mut().zip(buckets) {
+        for (slot, bucket) in m.wake_latency.buckets.iter_mut().zip(buckets) {
             *slot = bucket.as_f64().unwrap_or(0.0) as u64;
         }
     }
-    Ok(MetricsSnapshot {
-        tasks_executed: field("tasks_executed")?,
-        team_tasks_executed: field("team_tasks_executed")?,
-        teams_formed: field("teams_formed")?,
-        registrations: field("registrations")?,
-        steals: field("steals")?,
-        tasks_stolen: field("tasks_stolen")?,
-        failed_steal_rounds: field("failed_steal_rounds")?,
-        help_steals: field("help_steals")?,
-        tasks_spawned: field("tasks_spawned")?,
-        cas_failures: field("cas_failures")?,
-        nodes_recycled: optional_field("nodes_recycled"),
-        tasks_injected: optional_field("tasks_injected"),
-        injector_local_pops: optional_field("injector_local_pops"),
-        injector_remote_pops: optional_field("injector_remote_pops"),
-        external_pin_waits: optional_field("external_pin_waits"),
-        liveness_resyncs: optional_field("liveness_resyncs"),
-        segments_reclaimed: optional_field("segments_reclaimed"),
-        buffers_reclaimed: optional_field("buffers_reclaimed"),
-        epoch_advances: optional_field("epoch_advances"),
-        parks: optional_field("parks"),
-        wakeups: optional_field("wakeups"),
-        spurious_wakes: optional_field("spurious_wakes"),
-        teams_built: optional_field("teams_built"),
-        team_reuses: optional_field("team_reuses"),
-        team_shrinks: optional_field("team_shrinks"),
-        steals_local: optional_field("steals_local"),
-        steals_remote: optional_field("steals_remote"),
-        tasks_expired: optional_field("tasks_expired"),
-        tasks_cancelled: optional_field("tasks_cancelled"),
-        retry_attempts: optional_field("retry_attempts"),
-        wake_latency,
-    })
+    Ok(m)
 }
 
 /// One measured scenario: a (name, distribution, size, threads) cell with its
@@ -1046,6 +931,7 @@ pub fn check_regressions(
 mod tests {
     use super::*;
     use std::time::Duration;
+    use teamsteal_core::WakeLatencyHistogram;
 
     fn sample_record(name: &str, median: f64) -> RunRecord {
         let mut stats = RunStats::new();
@@ -1195,36 +1081,83 @@ mod tests {
         assert_eq!(summary.samples_s.len(), 4);
     }
 
-    #[test]
-    fn pre_parking_baselines_parse_with_defaulted_metrics() {
-        // A record written before PR 5 carries neither the parking scalars
-        // nor the wake-latency bucket array: strip them from a fresh record
-        // and the parser must default all of them to zero (so old committed
-        // baselines keep working as `--check` inputs).
-        let report = sample_report(0.010);
-        let text = report.to_json_string();
-        let mut value = JsonValue::parse(&text).unwrap();
-        if let JsonValue::Object(pairs) = &mut value {
-            if let Some((_, JsonValue::Array(records))) =
-                pairs.iter_mut().find(|(k, _)| k == "records")
-            {
-                for record in records {
-                    if let JsonValue::Object(fields) = record {
-                        if let Some((_, JsonValue::Object(metrics))) =
-                            fields.iter_mut().find(|(k, _)| k == "metrics")
-                        {
-                            metrics.retain(|(k, _)| {
-                                !matches!(
-                                    k.as_str(),
-                                    "parks" | "wakeups" | "spurious_wakes" | "wake_latency_us"
-                                )
-                            });
-                        }
-                    }
+    /// Applies `edit` to the `metrics` object of every record in `text`.
+    fn edit_metrics(text: &str, edit: impl Fn(&mut Vec<(String, JsonValue)>)) -> String {
+        let mut value = JsonValue::parse(text).unwrap();
+        let Some((_, JsonValue::Array(records))) = (match &mut value {
+            JsonValue::Object(pairs) => pairs.iter_mut().find(|(k, _)| k == "records"),
+            _ => None,
+        }) else {
+            panic!("report without records");
+        };
+        for record in records {
+            if let JsonValue::Object(fields) = record {
+                if let Some((_, JsonValue::Object(metrics))) =
+                    fields.iter_mut().find(|(k, _)| k == "metrics")
+                {
+                    edit(metrics);
                 }
             }
         }
-        let parsed = Report::from_json_str(&value.render()).expect("old schema parses");
+        value.render()
+    }
+
+    #[test]
+    fn older_baselines_parse_with_each_missing_counter_read_as_zero() {
+        // A record written before a counter existed lacks its key.  Strip
+        // each counter in turn: the stripped one must read 0 and every
+        // other one must survive, so old committed baselines keep working
+        // as `--check` inputs.  Every counter is given a nonzero value first
+        // so "survived" and "defaulted" are distinguishable.
+        let mut report = sample_report(0.010);
+        for record in &mut report.records {
+            for (i, (_, slot)) in record.metrics.counters_mut().enumerate() {
+                *slot = i as u64 + 1;
+            }
+        }
+        let text = report.to_json_string();
+        let names: Vec<&str> = MetricsSnapshot::default().counters().map(|(n, _)| n).collect();
+        for stripped in names.iter().copied().chain([WAKE_LATENCY_FIELD]) {
+            let old = edit_metrics(&text, |metrics| metrics.retain(|(k, _)| k != stripped));
+            let parsed = Report::from_json_str(&old).expect("old schema parses");
+            for (record, original) in parsed.records.iter().zip(&report.records) {
+                for ((name, got), (_, want)) in record.metrics.counters().zip(original.metrics.counters()) {
+                    let expected = if name == stripped { 0 } else { want };
+                    assert_eq!(got, expected, "counter `{name}` with `{stripped}` stripped");
+                }
+                let expected_hist = if stripped == WAKE_LATENCY_FIELD {
+                    WakeLatencyHistogram::default()
+                } else {
+                    original.metrics.wake_latency
+                };
+                assert_eq!(record.metrics.wake_latency, expected_hist);
+            }
+            // And a defaulted report round-trips stably.
+            assert_eq!(Report::from_json_str(&parsed.to_json_string()).unwrap(), parsed);
+        }
+    }
+
+    /// Strips the named metrics keys from every record of a fresh sample
+    /// report, as a record written before those counters existed lacks them.
+    fn parse_without_metrics(stripped: &[&str]) -> Report {
+        let text = sample_report(0.010).to_json_string();
+        let old = edit_metrics(&text, |metrics| {
+            metrics.retain(|(k, _)| !stripped.contains(&k.as_str()))
+        });
+        let parsed = Report::from_json_str(&old).expect("old schema parses");
+        // A defaulted report round-trips stably.
+        assert_eq!(
+            Report::from_json_str(&parsed.to_json_string()).unwrap(),
+            parsed
+        );
+        parsed
+    }
+
+    #[test]
+    fn pre_parking_baselines_parse_with_defaulted_metrics() {
+        // Records written before the parking counters existed.
+        let parsed =
+            parse_without_metrics(&["parks", "wakeups", "spurious_wakes", WAKE_LATENCY_FIELD]);
         for record in &parsed.records {
             assert_eq!(record.metrics.parks, 0);
             assert_eq!(record.metrics.wakeups, 0);
@@ -1233,154 +1166,84 @@ mod tests {
             // The pre-existing counters survived the strip.
             assert_eq!(record.metrics.steals, 17);
         }
-        // And a defaulted report round-trips stably.
-        assert_eq!(
-            Report::from_json_str(&parsed.to_json_string()).unwrap(),
-            parsed
-        );
     }
 
     #[test]
     fn pre_sharding_baselines_parse_with_defaulted_metrics() {
-        // A record written before PR 6 carries none of the sharded-injector
-        // counters: strip them from a fresh record and the parser must
-        // default all of them to zero (so PR 5-era committed baselines keep
-        // working as `--check` inputs).
-        let report = sample_report(0.010);
-        let text = report.to_json_string();
-        let mut value = JsonValue::parse(&text).unwrap();
-        if let JsonValue::Object(pairs) = &mut value {
-            if let Some((_, JsonValue::Array(records))) =
-                pairs.iter_mut().find(|(k, _)| k == "records")
-            {
-                for record in records {
-                    if let JsonValue::Object(fields) = record {
-                        if let Some((_, JsonValue::Object(metrics))) =
-                            fields.iter_mut().find(|(k, _)| k == "metrics")
-                        {
-                            metrics.retain(|(k, _)| {
-                                !matches!(
-                                    k.as_str(),
-                                    "injector_local_pops"
-                                        | "injector_remote_pops"
-                                        | "external_pin_waits"
-                                )
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let parsed = Report::from_json_str(&value.render()).expect("old schema parses");
+        // Records written before the sharded-injector counters existed.
+        let parsed = parse_without_metrics(&[
+            "injector_local_pops",
+            "injector_remote_pops",
+            "external_pin_waits",
+        ]);
         for record in &parsed.records {
             assert_eq!(record.metrics.injector_local_pops, 0);
             assert_eq!(record.metrics.injector_remote_pops, 0);
             assert_eq!(record.metrics.external_pin_waits, 0);
-            // The pre-existing counters survived the strip.
             assert_eq!(record.metrics.steals, 17);
             assert_eq!(record.metrics.parks, 12);
         }
-        // And a defaulted report round-trips stably.
-        assert_eq!(
-            Report::from_json_str(&parsed.to_json_string()).unwrap(),
-            parsed
-        );
     }
 
     #[test]
     fn pre_moldable_baselines_parse_with_defaulted_metrics() {
-        // A record written before PR 8 carries none of the moldable-team or
-        // steal-locality counters: strip them from a fresh record and the
-        // parser must default all of them to zero (so PR 7-era committed
-        // baselines keep working as `--check` inputs).
-        let report = sample_report(0.010);
-        let text = report.to_json_string();
-        let mut value = JsonValue::parse(&text).unwrap();
-        if let JsonValue::Object(pairs) = &mut value {
-            if let Some((_, JsonValue::Array(records))) =
-                pairs.iter_mut().find(|(k, _)| k == "records")
-            {
-                for record in records {
-                    if let JsonValue::Object(fields) = record {
-                        if let Some((_, JsonValue::Object(metrics))) =
-                            fields.iter_mut().find(|(k, _)| k == "metrics")
-                        {
-                            metrics.retain(|(k, _)| {
-                                !matches!(
-                                    k.as_str(),
-                                    "teams_built"
-                                        | "team_reuses"
-                                        | "team_shrinks"
-                                        | "steals_local"
-                                        | "steals_remote"
-                                )
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let parsed = Report::from_json_str(&value.render()).expect("old schema parses");
+        // Records written before the moldable-team and steal-locality
+        // counters existed.
+        let parsed = parse_without_metrics(&[
+            "teams_built",
+            "team_reuses",
+            "team_shrinks",
+            "steals_local",
+            "steals_remote",
+        ]);
         for record in &parsed.records {
             assert_eq!(record.metrics.teams_built, 0);
             assert_eq!(record.metrics.team_reuses, 0);
             assert_eq!(record.metrics.team_shrinks, 0);
             assert_eq!(record.metrics.steals_local, 0);
             assert_eq!(record.metrics.steals_remote, 0);
-            // The pre-existing counters survived the strip.
             assert_eq!(record.metrics.steals, 17);
             assert_eq!(record.metrics.teams_formed, 3);
         }
-        // And a defaulted report round-trips stably.
-        assert_eq!(
-            Report::from_json_str(&parsed.to_json_string()).unwrap(),
-            parsed
-        );
     }
 
     #[test]
     fn pre_cancellation_baselines_parse_with_defaulted_metrics() {
-        // A record written before PR 10 carries none of the
-        // deadline/cancellation counters: strip them from a fresh record and
-        // the parser must default all of them to zero (so PR 9-era committed
-        // baselines keep working as `--check` inputs).
-        let report = sample_report(0.010);
-        let text = report.to_json_string();
-        let mut value = JsonValue::parse(&text).unwrap();
-        if let JsonValue::Object(pairs) = &mut value {
-            if let Some((_, JsonValue::Array(records))) =
-                pairs.iter_mut().find(|(k, _)| k == "records")
-            {
-                for record in records {
-                    if let JsonValue::Object(fields) = record {
-                        if let Some((_, JsonValue::Object(metrics))) =
-                            fields.iter_mut().find(|(k, _)| k == "metrics")
-                        {
-                            metrics.retain(|(k, _)| {
-                                !matches!(
-                                    k.as_str(),
-                                    "tasks_expired" | "tasks_cancelled" | "retry_attempts"
-                                )
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let parsed = Report::from_json_str(&value.render()).expect("old schema parses");
+        // Records written before the deadline/cancellation counters existed.
+        let parsed = parse_without_metrics(&["tasks_expired", "tasks_cancelled", "retry_attempts"]);
         for record in &parsed.records {
             assert_eq!(record.metrics.tasks_expired, 0);
             assert_eq!(record.metrics.tasks_cancelled, 0);
             assert_eq!(record.metrics.retry_attempts, 0);
-            // The pre-existing counters survived the strip.
             assert_eq!(record.metrics.steals, 17);
             assert_eq!(record.metrics.teams_formed, 3);
         }
-        // And a defaulted report round-trips stably.
-        assert_eq!(
-            Report::from_json_str(&parsed.to_json_string()).unwrap(),
-            parsed
-        );
+    }
+
+    #[test]
+    fn non_numeric_counter_is_rejected() {
+        let text = sample_report(0.010).to_json_string();
+        let bad = edit_metrics(&text, |metrics| {
+            for (k, v) in metrics.iter_mut() {
+                if k == "steals" {
+                    *v = JsonValue::String("17".into());
+                }
+            }
+        });
+        let err = Report::from_json_str(&bad).expect_err("a string counter must not parse");
+        assert!(err.contains("steals"), "error names the counter: {err}");
+        // The metrics object itself stays required.
+        let missing = text.replace("\"metrics\"", "\"metrics_gone\"");
+        let err = Report::from_json_str(&missing).expect_err("metrics is required");
+        assert!(err.contains("metrics"), "{err}");
+    }
+
+    #[test]
+    fn committed_kernels_baseline_round_trips_byte_identically() {
+        let text = include_str!("../../../BENCH_kernels.json");
+        let parsed = Report::from_json_str(text).expect("committed baseline parses");
+        assert!(!parsed.records.is_empty());
+        assert!(parsed.to_json_string() == text, "re-rendered BENCH_kernels.json differs");
     }
 
     /// A `service_latency` record as `perf --only service_latency` writes

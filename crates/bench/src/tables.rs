@@ -38,9 +38,6 @@ pub struct TableSpec {
     pub threads: usize,
     /// Average or best-of-N.
     pub aggregation: Aggregation,
-    /// Whether the table has the Cilk columns (the Solaris machines could not
-    /// run Cilk++; we mirror the column layout).
-    pub with_cilk: bool,
     /// Indices into [`Scale::sizes`] used by this table (the Opteron and Sun
     /// tables omit the 10⁹ row).
     pub size_indices: &'static [usize],
@@ -52,16 +49,16 @@ impl TableSpec {
         let six: &'static [usize] = &[0, 1, 2, 3, 4, 5];
         let five: &'static [usize] = &[0, 1, 3, 4, 5];
         vec![
-            TableSpec { number: 1, system: "8-core Intel Nehalem", threads: 8, aggregation: Aggregation::Average, with_cilk: true, size_indices: six },
-            TableSpec { number: 2, system: "8-core Intel Nehalem", threads: 8, aggregation: Aggregation::Best, with_cilk: true, size_indices: six },
-            TableSpec { number: 3, system: "16-core AMD Opteron", threads: 16, aggregation: Aggregation::Average, with_cilk: false, size_indices: five },
-            TableSpec { number: 4, system: "16-core AMD Opteron", threads: 16, aggregation: Aggregation::Best, with_cilk: false, size_indices: five },
-            TableSpec { number: 5, system: "32-core Intel Nehalem EX", threads: 32, aggregation: Aggregation::Average, with_cilk: true, size_indices: six },
-            TableSpec { number: 6, system: "32-core Intel Nehalem EX", threads: 32, aggregation: Aggregation::Best, with_cilk: true, size_indices: six },
-            TableSpec { number: 7, system: "16-core Sun T2+ (32 threads)", threads: 32, aggregation: Aggregation::Average, with_cilk: false, size_indices: five },
-            TableSpec { number: 8, system: "16-core Sun T2+ (32 threads)", threads: 32, aggregation: Aggregation::Best, with_cilk: false, size_indices: five },
-            TableSpec { number: 9, system: "16-core Sun T2+ (64 threads)", threads: 64, aggregation: Aggregation::Average, with_cilk: false, size_indices: five },
-            TableSpec { number: 10, system: "16-core Sun T2+ (64 threads)", threads: 64, aggregation: Aggregation::Best, with_cilk: false, size_indices: five },
+            TableSpec { number: 1, system: "8-core Intel Nehalem", threads: 8, aggregation: Aggregation::Average, size_indices: six },
+            TableSpec { number: 2, system: "8-core Intel Nehalem", threads: 8, aggregation: Aggregation::Best, size_indices: six },
+            TableSpec { number: 3, system: "16-core AMD Opteron", threads: 16, aggregation: Aggregation::Average, size_indices: five },
+            TableSpec { number: 4, system: "16-core AMD Opteron", threads: 16, aggregation: Aggregation::Best, size_indices: five },
+            TableSpec { number: 5, system: "32-core Intel Nehalem EX", threads: 32, aggregation: Aggregation::Average, size_indices: six },
+            TableSpec { number: 6, system: "32-core Intel Nehalem EX", threads: 32, aggregation: Aggregation::Best, size_indices: six },
+            TableSpec { number: 7, system: "16-core Sun T2+ (32 threads)", threads: 32, aggregation: Aggregation::Average, size_indices: five },
+            TableSpec { number: 8, system: "16-core Sun T2+ (32 threads)", threads: 32, aggregation: Aggregation::Best, size_indices: five },
+            TableSpec { number: 9, system: "16-core Sun T2+ (64 threads)", threads: 64, aggregation: Aggregation::Average, size_indices: five },
+            TableSpec { number: 10, system: "16-core Sun T2+ (64 threads)", threads: 64, aggregation: Aggregation::Best, size_indices: five },
         ]
     }
 
@@ -70,20 +67,16 @@ impl TableSpec {
         Self::all().into_iter().find(|t| t.number == number)
     }
 
-    /// The variants (columns) of this table, in the paper's order.
+    /// The variants (columns) of this table, in the paper's order.  The
+    /// paper's Cilk++ columns have no counterpart here (DESIGN.md §3).
     pub fn variants(&self) -> Vec<Variant> {
-        let mut v = vec![
+        vec![
             Variant::SeqStd,
             Variant::SeqQs,
             Variant::Fork,
             Variant::RandFork,
-        ];
-        if self.with_cilk && cfg!(feature = "cilk-substitute") {
-            v.push(Variant::RayonJoin);
-            v.push(Variant::RayonSort);
-        }
-        v.push(Variant::MmPar);
-        v
+            Variant::MmPar,
+        ]
     }
 }
 
@@ -186,7 +179,7 @@ pub fn run_table(
 }
 
 /// Renders a regenerated table in the paper's layout (times in seconds,
-/// speedup columns after Fork, Cilk and MMPar).
+/// speedup columns after Fork and MMPar).
 pub fn render_table(result: &TableResult) -> String {
     let mut out = String::new();
     let agg = match result.spec.aggregation {
@@ -252,9 +245,6 @@ mod tests {
         assert_eq!(TableSpec::by_number(5).unwrap().threads, 32);
         assert_eq!(TableSpec::by_number(9).unwrap().threads, 64);
         assert!(TableSpec::by_number(11).is_none());
-        // Cilk columns only on the Intel machines.
-        assert!(TableSpec::by_number(1).unwrap().with_cilk);
-        assert!(!TableSpec::by_number(7).unwrap().with_cilk);
         // Odd tables are averages, even tables are best-of-N.
         for spec in &all {
             let expected = if spec.number % 2 == 1 {
@@ -268,21 +258,16 @@ mod tests {
 
     #[test]
     fn variant_order_matches_paper_columns() {
-        let with_cilk = TableSpec::by_number(1).unwrap().variants();
-        let mut expected = vec![
+        let expected = vec![
             Variant::SeqStd,
             Variant::SeqQs,
             Variant::Fork,
             Variant::RandFork,
+            Variant::MmPar,
         ];
-        if cfg!(feature = "cilk-substitute") {
-            expected.extend([Variant::RayonJoin, Variant::RayonSort]);
+        for spec in TableSpec::all() {
+            assert_eq!(spec.variants(), expected, "table {}", spec.number);
         }
-        expected.push(Variant::MmPar);
-        assert_eq!(with_cilk, expected);
-        let without = TableSpec::by_number(3).unwrap().variants();
-        assert!(!without.contains(&Variant::RayonJoin));
-        assert_eq!(*without.last().unwrap(), Variant::MmPar);
     }
 
     #[test]
@@ -294,7 +279,6 @@ mod tests {
             system: "test",
             threads: 2,
             aggregation: Aggregation::Best,
-            with_cilk: true,
             size_indices: &[0],
         };
         let config = SortConfig {

@@ -105,8 +105,10 @@ pub(crate) struct WorkerShared {
     /// Start countdown `G`: non-coordinator members that have not yet picked
     /// up the published task.
     pub(crate) start_countdown: AtomicU32,
-    /// Event counters.
-    pub(crate) counters: WorkerCounters,
+    /// Event counters, on lines of their own: the owner bumps them on every
+    /// spawn and steal, and they must not share a line with the
+    /// registration and publication words other workers poll.
+    pub(crate) counters: CachePadded<WorkerCounters>,
 }
 
 impl WorkerShared {
@@ -133,7 +135,7 @@ impl WorkerShared {
             publish_base: AtomicUsize::new(0),
             publish_size: AtomicUsize::new(0),
             start_countdown: AtomicU32::new(0),
-            counters: WorkerCounters::default(),
+            counters: CachePadded::new(WorkerCounters::default()),
         }
     }
 
@@ -595,10 +597,10 @@ impl Worker {
     fn collect_epoch(&self) {
         let freed = self.shared.epoch.try_collect();
         if freed.advanced {
-            self.me().counters.inc_epoch_advances();
+            self.me().counters.epoch_advances.inc();
         }
-        self.me().counters.add_segments_reclaimed(freed.freed_segments);
-        self.me().counters.add_buffers_reclaimed(freed.freed_buffers);
+        self.me().counters.segments_reclaimed.add(freed.freed_segments);
+        self.me().counters.buffers_reclaimed.add(freed.freed_buffers);
     }
 
     /// One spin/yield round of a blocking site's pre-park prefix, with the
@@ -624,7 +626,7 @@ impl Worker {
     /// metrics.  Every wake counts one backoff round so streak time and the
     /// stall reports keep working.
     fn commit_handshake_park(&self, backoff: &mut Backoff, ticket: u64) {
-        self.me().counters.inc_parks();
+        self.me().counters.parks.inc();
         self.participant.unpin();
         let reason = self
             .shared
@@ -639,14 +641,14 @@ impl Worker {
     fn record_wake(&self, reason: WakeReason) {
         match reason {
             WakeReason::Notified(latency) => {
-                self.me().counters.inc_wakeups();
+                self.me().counters.wakeups.inc();
                 self.me().counters.record_wake_latency(latency);
             }
             // The global ticket moved: a notification happened somewhere
             // while we were committing.  It woke us, so it counts as a
             // wakeup, but it carries no per-slot latency sample.
-            WakeReason::TicketChanged => self.me().counters.inc_wakeups(),
-            WakeReason::Backstop => self.me().counters.inc_spurious_wakes(),
+            WakeReason::TicketChanged => self.me().counters.wakeups.inc(),
+            WakeReason::Backstop => self.me().counters.spurious_wakes.inc(),
         }
     }
 
@@ -748,7 +750,7 @@ impl Worker {
                 idle.reset();
                 continue;
             }
-            self.me().counters.inc_failed_steal_rounds();
+            self.me().counters.failed_steal_rounds.inc();
             self.stall_report("idle/steal", &idle);
             // An idle round is the cheapest quiescent point there is:
             // collect before parking, then park unpinned so reclamation
@@ -818,7 +820,7 @@ impl Worker {
             idle.note_round();
             return;
         }
-        self.me().counters.inc_parks();
+        self.me().counters.parks.inc();
         self.participant.unpin();
         let reason = self
             .shared
@@ -913,7 +915,7 @@ impl Worker {
             barrier: None,
         };
         Self::run_job(node, &ctx);
-        self.me().counters.inc_tasks_executed();
+        self.me().counters.tasks_executed.inc();
         self.finish_node(ptr);
     }
 
@@ -955,7 +957,7 @@ impl Worker {
         }
         if let Some(cell) = &node.cancel {
             if cell.is_cancelled() {
-                self.me().counters.inc_tasks_cancelled();
+                self.me().counters.tasks_cancelled.inc();
                 self.finish_node(ptr);
                 return true;
             }
@@ -971,7 +973,7 @@ impl Worker {
                 if let Some(cell) = &node.cancel {
                     cell.expire();
                 }
-                self.me().counters.inc_tasks_expired();
+                self.me().counters.tasks_expired.inc();
                 self.finish_node(ptr);
                 return true;
             }
@@ -996,7 +998,7 @@ impl Worker {
             Some(cell) if !cell.try_claim() => {
                 // A `cancel()` won between the staleness probe and the
                 // claim — the decided race resolved against running.
-                self.me().counters.inc_tasks_cancelled();
+                self.me().counters.tasks_cancelled.inc();
                 self.finish_node(ptr);
                 false
             }
@@ -1074,11 +1076,11 @@ impl Worker {
                 } else {
                     match self.me().reg.try_form_team() {
                         Some(_) => {
-                            self.me().counters.inc_teams_formed();
+                            self.me().counters.teams_formed.inc();
                             true
                         }
                         None => {
-                            self.me().counters.inc_cas_failures();
+                            self.me().counters.cas_failures.inc();
                             false
                         }
                     }
@@ -1096,12 +1098,12 @@ impl Worker {
                                     self.me().reg.try_reuse(team_size as u16),
                                     ReuseOutcome::Reused(_)
                                 ) {
-                                    self.me().counters.inc_team_reuses();
+                                    self.me().counters.team_reuses.inc();
                                 }
                             } else {
                                 // Cold path: this publication paid for a
                                 // full team build.
-                                self.me().counters.inc_teams_built();
+                                self.me().counters.teams_built.inc();
                             }
                             self.execute_team_task_as_coordinator(ptr, group.start, team_size);
                             backoff.reset();
@@ -1112,7 +1114,7 @@ impl Worker {
                             // holding) the next task with the full team.
                             if self.elastic_shrink_due(team_size) {
                                 self.me().reg.disband();
-                                self.me().counters.inc_team_shrinks();
+                                self.me().counters.team_shrinks.inc();
                                 self.notify_team_range(me, team_size);
                                 return;
                             }
@@ -1143,7 +1145,7 @@ impl Worker {
                             resyncs_fired += 1;
                             self.me().reg.disband();
                             self.me().reg.push_requirement(team_size as u16);
-                            self.me().counters.inc_liveness_resyncs();
+                            self.me().counters.liveness_resyncs.inc();
                             // Stall resync is a whole-scheduler event: wake
                             // everyone so no stale park outlives it.
                             self.shared.sleep.notify_all();
@@ -1249,7 +1251,7 @@ impl Worker {
             barrier,
         };
         Self::run_job(node, &ctx);
-        self.me().counters.inc_team_tasks_executed();
+        self.me().counters.team_tasks_executed.inc();
         self.finish_node(ptr);
         // Wait until every member has started before allowing the next
         // publication or any registration change (Algorithm 5, lines 1–4).
@@ -1359,7 +1361,7 @@ impl Worker {
                 continue;
             };
             if self.transfer_steal(x, level, level) > 0 {
-                self.me().counters.inc_steals();
+                self.me().counters.steals.inc();
                 return true;
             }
         }
@@ -1516,7 +1518,7 @@ impl Worker {
                         ReleaseOutcome::Teamed => {}
                         ReleaseOutcome::Released | ReleaseOutcome::Revoked => {
                             self.leave_coordinator();
-                            self.me().counters.inc_liveness_resyncs();
+                            self.me().counters.liveness_resyncs.inc();
                             // Stall resync: wake everyone (including the
                             // abandoned coordinator) so no stale park
                             // outlives the re-synchronization.
@@ -1605,7 +1607,7 @@ impl Worker {
             barrier,
         };
         Self::run_job(node, &ctx);
-        self.me().counters.inc_team_tasks_executed();
+        self.me().counters.team_tasks_executed.inc();
         self.finish_node(ptr);
     }
 
@@ -1690,7 +1692,7 @@ impl Worker {
     fn help_steal_from(&mut self, victim: usize, req_level: usize, steal_level: usize) -> bool {
         let moved = self.transfer_steal(victim, req_level.saturating_sub(1), steal_level);
         if moved > 0 {
-            self.me().counters.inc_help_steals();
+            self.me().counters.help_steals.inc();
             true
         } else {
             false
@@ -1752,14 +1754,14 @@ impl Worker {
                 self.registered_counter[cid] = snapshot.counter;
                 self.last_seen_seq[cid] = self.last_seen_seq[cid].max(seq0);
                 self.me().coordinator.store(cid, Ordering::Release);
-                self.me().counters.inc_registrations();
+                self.me().counters.registrations.inc();
                 // The coordinator may be parked waiting for this very
                 // acquisition (ours could complete the team).
                 self.shared.sleep.notify_worker(cid);
                 true
             }
             AcquireOutcome::Contended => {
-                self.me().counters.inc_cas_failures();
+                self.me().counters.cas_failures.inc();
                 false
             }
             AcquireOutcome::NotNeeded(_) => false,
@@ -1785,7 +1787,7 @@ impl Worker {
                 };
                 let top = self.topo().num_queue_levels() - 1;
                 if self.transfer_steal(victim, top, levels.max(1) - 1) > 0 {
-                    self.me().counters.inc_steals();
+                    self.me().counters.steals.inc();
                     return true;
                 }
             }
@@ -1814,7 +1816,7 @@ impl Worker {
             // only queues up to the partner's level are eligible; within
             // those, prefer the largest tasks (Section 4).
             if self.transfer_steal(x, level, level) > 0 {
-                self.me().counters.inc_steals();
+                self.me().counters.steals.inc();
                 return true;
             }
         }
@@ -1855,7 +1857,7 @@ impl Worker {
                     safe_top = l;
                 }
                 if self.transfer_steal(victim, safe_top, safe_top) > 0 {
-                    self.me().counters.inc_steals();
+                    self.me().counters.steals.inc();
                     return true;
                 }
             }
@@ -1932,14 +1934,14 @@ impl Worker {
                 }
             }
             if moved > 0 {
-                self.me().counters.add_tasks_stolen(moved as u64);
+                self.me().counters.tasks_stolen.add(moved as u64);
                 // Locality classification (same split the injector pops
                 // report): did this steal stay inside the thief's own
                 // hierarchy domain or cross to a remote one?
                 if self.shared.domains.domain_of(victim) == self.domain {
-                    self.me().counters.inc_steals_local();
+                    self.me().counters.steals_local.inc();
                 } else {
-                    self.me().counters.inc_steals_remote();
+                    self.me().counters.steals_remote.inc();
                 }
                 if moved > 1 {
                     // Bulk steal: surplus tasks now sit in our queue — wake
@@ -1972,10 +1974,14 @@ impl Worker {
         match self.shared.injector.pop_sweep(order) {
             Some((TaskPtr(ptr), pos)) => {
                 let shard = order[pos];
+                // Counted on every path, the dropped-as-stale one included,
+                // so `injector_local_pops + injector_remote_pops ==
+                // tasks_injected` holds exactly.
+                self.me().counters.tasks_injected.inc();
                 if pos == 0 {
-                    self.me().counters.inc_injector_local_pops();
+                    self.me().counters.injector_local_pops.inc();
                 } else {
-                    self.me().counters.inc_injector_remote_pops();
+                    self.me().counters.injector_remote_pops.inc();
                 }
                 // Stale-work expiry (DESIGN.md §17): a task whose deadline
                 // passed (or whose token was cancelled) while it queued is
@@ -2006,7 +2012,6 @@ impl Worker {
                 }
                 let level = self.topo().level_for_requirement(self.id, req);
                 self.me().push_task(level, ptr);
-                self.me().counters.inc_tasks_injected();
                 if self.shared.injector.shard_len(shard) > 0 {
                     // Wake chain: the submit-side hint only wakes one worker
                     // per shard's empty→non-empty transition; each consumer
@@ -2063,12 +2068,12 @@ impl SpawnTarget for Worker {
             ));
         }
         if recycled {
-            me.counters.inc_nodes_recycled();
+            me.counters.nodes_recycled.inc();
         }
         let level = self.topo().level_for_requirement(self.id, requirement);
         let was_empty = me.queues[level].is_empty();
         me.push_task(level, ptr);
-        me.counters.inc_tasks_spawned();
+        me.counters.tasks_spawned.inc();
         if was_empty {
             // Spawn into an empty queue: new stealable work became visible.
             // The sleep controller makes this free when nobody sleeps or a

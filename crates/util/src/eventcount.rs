@@ -495,48 +495,53 @@ mod tests {
 
     #[test]
     fn notify_one_idle_in_prefers_the_given_range() {
-        let ec = Arc::new(EventCount::new(4));
-        let stop = Arc::new(AtomicBool::new(false));
-        let woken: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
-        let waiters: Vec<_> = (0..4)
-            .map(|slot| {
-                let (ec, stop, woken) = (Arc::clone(&ec), Arc::clone(&stop), Arc::clone(&woken));
-                std::thread::spawn(move || loop {
-                    let t = ec.prepare_wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if let WakeReason::Notified(_) = ec.park(slot, t, ParkClass::Idle, LONG) {
-                        if !stop.load(Ordering::Acquire) {
-                            woken[slot].fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                })
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(30));
-        // Repeatedly wake with a preference for slots 2..4; slots 0 and 1
-        // must never be claimed while a preferred sleeper is available.
-        let mut claimed = 0;
-        for _ in 0..50 {
-            if ec.notify_one_idle_in(2..4) {
-                claimed += 1;
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        // Claim order, read off the slot states: with every slot parked
+        // idle, the preferred range 2..4 is drained before the fallback may
+        // touch slot 0 or 1.  The slots are marked parked directly, so no
+        // thread has to be (or stay) asleep at any particular moment.
+        let ec = EventCount::new(4);
+        for slot in ec.slots.iter() {
+            slot.state.store(PARKED_IDLE, Ordering::SeqCst);
         }
-        assert!(claimed > 0, "preferred-range wakes should land");
-        stop.store(true, Ordering::Release);
-        ec.notify_all();
-        for w in waiters {
-            w.join().unwrap();
-        }
-        let out_of_range: u64 = woken[0].load(Ordering::SeqCst) + woken[1].load(Ordering::SeqCst);
-        let in_range: u64 = woken[2].load(Ordering::SeqCst) + woken[3].load(Ordering::SeqCst);
-        assert!(in_range > 0, "preferred sleepers were woken");
+        let notified = |ec: &EventCount| -> Vec<usize> {
+            (0..4)
+                .filter(|&i| ec.slots[i].state.load(Ordering::SeqCst) == NOTIFIED)
+                .collect()
+        };
+        assert!(ec.notify_one_idle_in(2..4));
+        assert!(ec.notify_one_idle_in(2..4));
+        let claimed = notified(&ec);
+        let out_of_range = claimed.iter().filter(|&&i| i < 2).count();
+        assert_eq!(claimed, [2, 3], "preferred sleepers were woken");
         assert_eq!(
             out_of_range, 0,
             "a preferred sleeper was always parked, so the fallback never fired"
         );
+        // With the preferred range exhausted the fallback takes over.
+        assert!(ec.notify_one_idle_in(2..4));
+        assert_eq!(notified(&ec).len(), 3);
+
+        // Real sleepers: preferred waiters that stay parked until claimed
+        // and then exit.  The test waits on those exits, not on a sleep.
+        let ec = Arc::new(EventCount::new(4));
+        let waiters: Vec<_> = (2..4)
+            .map(|slot| {
+                let ec = Arc::clone(&ec);
+                std::thread::spawn(move || loop {
+                    let t = ec.prepare_wait();
+                    if let WakeReason::Notified(_) = ec.park(slot, t, ParkClass::Idle, LONG) {
+                        break;
+                    }
+                })
+            })
+            .collect();
+        while !waiters.iter().all(|w| w.is_finished()) {
+            ec.notify_one_idle_in(2..4);
+            std::thread::yield_now();
+        }
+        for w in waiters {
+            w.join().unwrap();
+        }
     }
 
     #[test]

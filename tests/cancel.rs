@@ -114,6 +114,13 @@ fn expired_task_is_dropped_at_claim_time() {
         let metrics = service.metrics();
         assert_eq!(metrics.tasks_executed, 1, "only the blocker may execute");
         assert_eq!(metrics.tasks_expired, 1);
+        // A task dropped at pop time still counts as injected: every
+        // injector pop is classified local or remote exactly once.
+        assert_eq!(
+            metrics.injector_local_pops + metrics.injector_remote_pops,
+            metrics.tasks_injected,
+            "injector pops and injected tasks must agree on the expiry path"
+        );
         assert_eq!(report.completed(), report.admitted());
         assert_eq!(service.report().tasks_expired, 1);
     });
